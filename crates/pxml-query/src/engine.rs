@@ -8,6 +8,24 @@
 //! vector order always matches the input order regardless of thread
 //! count.
 //!
+//! [`QueryEngine::run`] and [`QueryEngine::run_governed`] answer along
+//! one staged pipeline, in the same order in every trace mode:
+//!
+//! 1. count the query and probe the result memo; a hit wins over
+//!    everything below, pre-flight and admission included;
+//! 2. pre-flight (when switched on): memoise a provable zero as exact
+//!    `0.0`, rewrite onto the canonical key and probe it, and note a
+//!    governed query whose exact predicted cost exceeds its step ceiling;
+//! 3. evaluate, or refuse such a query without opening a budget;
+//! 4. memoise a cacheable answer, or count degradation or exhaustion;
+//!    then add the budget spend.
+//!
+//! Tracing rides along on the side. With [`TraceMode::Off`] it costs one
+//! relaxed load per query, and a memo hit reads no clock; otherwise the
+//! pipeline also times the query, fills a per-query tally and observes
+//! the histograms (and, in `Full` mode, pushes a [`QueryTrace`]). It
+//! never changes an answer, a counter or the cache.
+//!
 //! Engine answers are **exactly** (`==`, not within-epsilon) the answers
 //! of the sequential functions [`crate::point_query`],
 //! [`crate::exists_query`] and [`crate::chain_probability`]: the
@@ -31,8 +49,7 @@ use pxml_algebra::path::PathExpr;
 use pxml_core::catalog::DisplayObject;
 use pxml_core::summary::StructuralSummary;
 use pxml_core::{
-    render_ops, ArenaInstance, Budget, CancelToken, Exhausted, LabelPath, Mutation, ObjectId,
-    ProbInstance,
+    render_ops, ArenaInstance, Budget, CancelToken, LabelPath, Mutation, ObjectId, ProbInstance,
 };
 use pxml_interval::Interval;
 use std::sync::Arc;
@@ -220,16 +237,16 @@ pub struct QueryEngine {
     cache: MarginalCache,
     stats: EngineStats,
     threads: usize,
-    /// Encoded [`TraceMode`]; one relaxed load gates the whole
-    /// observability layer, so `Off` stays off the hot path.
+    /// Encoded [`TraceMode`], loaded once per query; under `Off` the
+    /// pipeline starts no per-query clock and builds no tally.
     trace_mode: AtomicU8,
     traces: TraceRing,
     trace_seq: AtomicU64,
     /// Lazily-built structural summary backing the pre-flight stage
     /// and the `analyze` surface.
     summary: OnceLock<Arc<StructuralSummary>>,
-    /// Opt-in static pre-flight stage; one relaxed load gates it, so
-    /// the default-off hot path is unchanged.
+    /// Opt-in static pre-flight stage, loaded only after a result-memo
+    /// miss, so memo hits never pay for it.
     preflight: AtomicBool,
     /// Cache-invalidation strategy for mutations.
     invalidation: InvalidationPolicy,
@@ -280,8 +297,9 @@ impl QueryEngine {
     }
 
     /// Switches the static pre-flight stage on or off (off by
-    /// default). When on, every query is normalised and checked
-    /// against the structural summary before evaluation: provably-zero
+    /// default). When on, every query that misses the result memo is
+    /// normalised and checked against the structural summary before
+    /// evaluation (stage 2 of the pipeline in the module docs): provably-zero
     /// queries short-circuit to exact `0.0`, canonicalised plans share
     /// result-cache keys, and governed queries whose exact predicted
     /// step count exceeds the budget are rejected without spending it.
@@ -478,31 +496,9 @@ impl QueryEngine {
 
     /// Materialises one trace record for an applied mutation.
     fn push_mutation_trace(&self, m: &Mutation, nanos: u64) {
-        let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         let query = render_ops(&self.pi, std::slice::from_ref(m)).trim_end().to_string();
-        self.traces.push(QueryTrace {
-            seq,
-            query,
-            kind: QueryKind::Mutation,
-            outcome: TraceOutcome::Exact,
-            lo: 0.0,
-            hi: 0.0,
-            error: None,
-            total_nanos: nanos,
-            locate_nanos: 0,
-            marginal_nanos: 0,
-            normalise_nanos: 0,
-            result_hit: false,
-            layers_hits: 0,
-            layers_misses: 0,
-            eps_hits: 0,
-            eps_misses: 0,
-            link_hits: 0,
-            link_misses: 0,
-            opf_entries: 0,
-            budget_steps: 0,
-            budget_polls: 0,
-        });
+        let none = TraceTally::default();
+        self.push_trace(query, QueryKind::Mutation, &Ok(Answer::Exact(0.0)), false, &none, nanos);
     }
 
     /// The current trace mode.
@@ -686,144 +682,12 @@ impl QueryEngine {
         );
     }
 
-    /// Answers one query through the shared cache.
+    /// Answers one query through the shared cache, along the staged
+    /// pipeline described in the module docs. An ungoverned answer is
+    /// always exact; an error is memoised like an answer, so repeating
+    /// an erring query is a result-memo hit.
     pub fn run(&self, q: &Query) -> Result<f64> {
-        // Hot path: with tracing and pre-flight off this is the
-        // seed-identical code — the two opt-in layers cost one relaxed
-        // load and a branch each.
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_OFF {
-            if self.preflight.load(Ordering::Relaxed) {
-                return self.run_preflighted(q);
-            }
-            return self.run_inner(q);
-        }
-        self.run_observed(q)
-    }
-
-    /// The untraced evaluation path: count, memo lookup, evaluate,
-    /// writeback.
-    fn run_inner(&self, q: &Query) -> Result<f64> {
-        self.stats.count_query();
-        if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return r;
-        }
-        self.stats.count_result(false);
-        let r = self.evaluate(q, None);
-        self.cache.put_result(q.clone(), r.clone());
-        r
-    }
-
-    /// [`QueryEngine::run`] behind the opt-in pre-flight stage:
-    /// provably-zero queries return exact `0.0` without evaluation and
-    /// canonicalisable plans are rewritten onto their canonical cache
-    /// key. The result cache is probed *before* any analysis — a
-    /// memoised answer needs no verdict, so steady-state serving pays
-    /// nothing for pre-flight — and a proved zero is written back as an
-    /// ordinary exact result, so each zero is proved once, not per
-    /// encounter.
-    #[inline(never)]
-    fn run_preflighted(&self, q: &Query) -> Result<f64> {
-        self.stats.count_query();
-        if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return r;
-        }
-        let report = preflight::analyze(self.summary(), q);
-        if report.is_provably_zero() {
-            self.stats.count_result(false);
-            self.stats.count_preflight_zero();
-            self.cache.put_result(q.clone(), Ok(0.0));
-            return Ok(0.0);
-        }
-        match report.normalised {
-            Some(nq) => {
-                self.stats.count_preflight_rewrite();
-                // The canonical key may be warm even though the
-                // original's probe above missed.
-                if let Some(r) = self.cache.get_result(&nq) {
-                    self.stats.count_result(true);
-                    return r;
-                }
-                self.evaluate_preflight_miss(&nq)
-            }
-            None => self.evaluate_preflight_miss(q),
-        }
-    }
-
-    /// Miss path behind [`QueryEngine::run_preflighted`]: the caller
-    /// already counted the query and probed the (canonical) key.
-    fn evaluate_preflight_miss(&self, q: &Query) -> Result<f64> {
-        self.stats.count_result(false);
-        let r = self.evaluate(q, None);
-        self.cache.put_result(q.clone(), r.clone());
-        r
-    }
-
-    /// [`QueryEngine::run`] with per-query observation: phase spans,
-    /// provenance tally, histogram observations, and (in `Full` mode) a
-    /// trace record. Kept out of line so the traced machinery never
-    /// bloats the disabled fast path in [`QueryEngine::run`].
-    #[cold]
-    #[inline(never)]
-    fn run_observed(&self, q: &Query) -> Result<f64> {
-        let started = Instant::now();
-        if self.preflight.load(Ordering::Relaxed) {
-            let report = preflight::analyze(self.summary(), q);
-            if report.is_provably_zero() {
-                self.stats.count_query();
-                self.stats.count_preflight_zero();
-                let total = started.elapsed().as_nanos() as u64;
-                self.stats.observe_query_nanos(total);
-                if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-                    self.push_trace(
-                        q,
-                        &TraceTally::default(),
-                        total,
-                        TraceOutcome::PreflightZero,
-                        0.0,
-                        0.0,
-                        None,
-                    );
-                }
-                return Ok(0.0);
-            }
-            if let Some(nq) = report.normalised {
-                self.stats.count_preflight_rewrite();
-                return self.run_observed_inner(&nq, started);
-            }
-        }
-        self.run_observed_inner(q, started)
-    }
-
-    /// The traced evaluation path, timed from `started` (which may
-    /// include a pre-flight stage).
-    fn run_observed_inner(&self, q: &Query, started: Instant) -> Result<f64> {
-        self.stats.count_query();
-        let mut tally = TraceTally::default();
-        let r = if let Some(r) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            tally.result_hit = true;
-            r
-        } else {
-            self.stats.count_result(false);
-            let r = self.evaluate(q, Some(&mut tally));
-            // Normalise span: answer assembly + result-memo writeback.
-            let n0 = Instant::now();
-            self.cache.put_result(q.clone(), r.clone());
-            tally.normalise_nanos = n0.elapsed().as_nanos() as u64;
-            r
-        };
-        let total = started.elapsed().as_nanos() as u64;
-        self.stats.observe_query_nanos(total);
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-            let (outcome, lo, hi, error) = match &r {
-                Ok(v) => (TraceOutcome::Exact, *v, *v, None),
-                Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
-            };
-            self.push_trace(q, &tally, total, outcome, lo, hi, error);
-        }
-        r
+        self.answer(q, None).map(|a| a.lo())
     }
 
     /// Answers a batch; `results[i]` corresponds to `queries[i]`. With
@@ -831,12 +695,153 @@ impl QueryEngine {
     /// threads sharing the cache; the result order is positional either
     /// way, and the values are identical for any worker count.
     pub fn run_batch(&self, queries: &[Query]) -> Vec<Result<f64>> {
+        self.fan_out(queries, |q| self.run(q))
+    }
+
+    /// Answers one query under a resource budget built from `spec`,
+    /// along the same staged pipeline as [`QueryEngine::run`].
+    ///
+    /// Differences from [`QueryEngine::run`]:
+    ///
+    /// * Evaluation is charged against a fresh per-query [`Budget`];
+    ///   exhaustion yields the typed error or — under
+    ///   [`DegradePolicy::Interval`] — a bracketing [`Answer::Interval`].
+    /// * Only exact memoised results count as hits: a memoised error may
+    ///   be a `NotTreeShaped` that the DAG fallback below answers.
+    /// * With pre-flight on, a query whose exact predicted step count
+    ///   exceeds the step ceiling (under [`DegradePolicy::Error`]) is
+    ///   refused on a memo miss without opening a budget.
+    /// * Non-tree point/exists queries fall back to the governed DAG
+    ///   inclusion–exclusion engine instead of erring `NotTreeShaped`.
+    /// * ε memoisation is **query-private**, so the steps a query spends
+    ///   (and hence `Exhausted::spent`) are a deterministic function of
+    ///   the instance and query, independent of worker count or shared
+    ///   cache state. Only exact whole-query results that the ungoverned
+    ///   path would also produce are written back to the shared cache;
+    ///   degraded and DAG-fallback answers are never cached.
+    pub fn run_governed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
+        self.answer(q, Some(spec))
+    }
+
+    /// Governed batch: `results[i]` answers `queries[i]`, with the same
+    /// fan-out as [`QueryEngine::run_batch`]; every query gets its own
+    /// budget from `spec` (see [`BudgetSpec`]).
+    pub fn run_batch_governed(&self, queries: &[Query], spec: &BudgetSpec) -> Vec<Result<Answer>> {
+        self.fan_out(queries, |q| self.run_governed(q, spec))
+    }
+
+    /// The query pipeline behind [`QueryEngine::run`] (`spec == None`)
+    /// and [`QueryEngine::run_governed`]. Every trace mode runs the same
+    /// stages in the same order; tracing only reads the clock and fills
+    /// a tally on the side.
+    fn answer(&self, q: &Query, spec: Option<&BudgetSpec>) -> Result<Answer> {
+        self.stats.count_query();
+        let mode = self.trace_mode.load(Ordering::Relaxed);
+        let started = (mode != TRACE_OFF).then(Instant::now);
+        let mut tally = started.map(|_| TraceTally::default());
+        let normalised;
+        let (r, via) = 'stages: {
+            // 1. Probe: a memo hit wins over pre-flight and admission.
+            if let Some(r) = self.probe(q, spec.is_some()) {
+                break 'stages (r, Via::Hit);
+            }
+            // 2. Pre-flight: prove zero and memoise it, rewrite onto the
+            //    canonical key and probe that, note admission.
+            let mut key = q;
+            let mut admission = None;
+            if self.preflight.load(Ordering::Relaxed) {
+                let report = preflight::analyze(self.summary(), q);
+                if report.is_provably_zero() {
+                    self.stats.count_result(false);
+                    self.stats.count_preflight_zero();
+                    self.cache.put_result(q.clone(), Ok(0.0));
+                    break 'stages (Ok(Answer::Exact(0.0)), Via::Zero);
+                }
+                admission = spec.and_then(|s| report.predicted_exhaustion(s));
+                normalised = report.normalised;
+                if let Some(nq) = &normalised {
+                    self.stats.count_preflight_rewrite();
+                    if let Some(r) = self.probe(nq, spec.is_some()) {
+                        break 'stages (r, Via::Hit);
+                    }
+                    key = nq;
+                }
+            }
+            // 3. Evaluate, or refuse on admission without a budget.
+            self.stats.count_result(false);
+            let (r, cacheable, budget) = match (spec, admission) {
+                (None, _) => (self.evaluate(key, tally.as_mut()).map(Answer::Exact), true, None),
+                (Some(_), Some(ex)) => {
+                    self.stats.count_preflight_rejection();
+                    (Err(QueryError::Core(pxml_core::CoreError::Exhausted(ex))), false, None)
+                }
+                (Some(spec), None) => {
+                    let budget = spec.budget();
+                    let (r, cacheable) = self.evaluate_governed(key, spec, &budget, tally.as_mut());
+                    (r, cacheable, Some(budget))
+                }
+            };
+            // 4. Memoise (ungoverned errors too), or count degradation
+            //    and exhaustion; then the budget spend.
+            let memo_started = started.map(|_| Instant::now());
+            match &r {
+                Ok(Answer::Exact(v)) if cacheable => self.cache.put_result(key.clone(), Ok(*v)),
+                Err(e) if spec.is_none() => self.cache.put_result(key.clone(), Err(e.clone())),
+                Ok(Answer::Interval(_)) => self.stats.count_degraded(),
+                Err(e) if exhaustion_of(e).is_some() => self.stats.count_exhausted(),
+                _ => {}
+            }
+            if let (Some(t), Some(m)) = (tally.as_mut(), memo_started) {
+                t.normalise_nanos = m.elapsed().as_nanos() as u64;
+            }
+            if let Some(budget) = budget {
+                let (steps, polls) = (budget.steps_spent(), budget.polls_performed());
+                self.stats.add_budget_spend(steps, polls);
+                if let Some(t) = tally.as_mut() {
+                    t.budget_steps = steps;
+                    t.budget_polls = polls;
+                    self.stats.observe_budget_steps(steps);
+                }
+            }
+            (r, Via::Evaluated)
+        };
+        if let (Some(started), Some(tally)) = (started, tally.as_mut()) {
+            tally.result_hit = via == Via::Hit;
+            let total = started.elapsed().as_nanos() as u64;
+            self.stats.observe_query_nanos(total);
+            if mode == TRACE_FULL {
+                let kind = match q {
+                    Query::Point { .. } => QueryKind::Point,
+                    Query::Exists { .. } => QueryKind::Exists,
+                    Query::Chain { .. } => QueryKind::Chain,
+                };
+                self.push_trace(self.render_query(q), kind, &r, via == Via::Zero, tally, total);
+            }
+        }
+        r
+    }
+
+    /// Result-memo probe, counting a hit. Governed runs take only exact
+    /// hits.
+    fn probe(&self, q: &Query, governed: bool) -> Option<Result<Answer>> {
+        let r = self.cache.get_result(q)?;
+        if governed && r.is_err() {
+            return None;
+        }
+        self.stats.count_result(true);
+        Some(r.map(Answer::Exact))
+    }
+
+    /// The positional fan-out of [`QueryEngine::run_batch`] and
+    /// [`QueryEngine::run_batch_governed`]: inline with one worker, else
+    /// scoped threads pulling indices from an atomic counter into
+    /// per-index slots.
+    fn fan_out<T: Send>(&self, queries: &[Query], answer: impl Fn(&Query) -> T + Sync) -> Vec<T> {
         let start = Instant::now();
         let out = if self.threads == 1 || queries.len() <= 1 {
-            queries.iter().map(|q| self.run(q)).collect()
+            queries.iter().map(&answer).collect()
         } else {
-            let slots: Vec<Mutex<Option<Result<f64>>>> =
-                queries.iter().map(|_| Mutex::new(None)).collect();
+            let slots: Vec<Mutex<Option<T>>> = queries.iter().map(|_| Mutex::new(None)).collect();
             let next = AtomicUsize::new(0);
             let workers = self.threads.min(queries.len());
             crossbeam::thread::scope(|s| {
@@ -846,7 +851,7 @@ impl QueryEngine {
                         if i >= queries.len() {
                             break;
                         }
-                        *slots[i].lock() = Some(self.run(&queries[i]));
+                        *slots[i].lock() = Some(answer(&queries[i]));
                     });
                 }
             })
@@ -860,231 +865,29 @@ impl QueryEngine {
         out
     }
 
-    /// Answers one query under a resource budget built from `spec`.
-    ///
-    /// Differences from [`QueryEngine::run`]:
-    ///
-    /// * Evaluation is charged against a fresh per-query [`Budget`];
-    ///   exhaustion yields the typed error or — under
-    ///   [`DegradePolicy::Interval`] — a bracketing [`Answer::Interval`].
-    /// * Non-tree point/exists queries fall back to the governed DAG
-    ///   inclusion–exclusion engine instead of erring `NotTreeShaped`.
-    /// * ε memoisation is **query-private**, so the steps a query spends
-    ///   (and hence `Exhausted::spent`) are a deterministic function of
-    ///   the instance and query, independent of worker count or shared
-    ///   cache state. Only exact whole-query results that the ungoverned
-    ///   path would also produce are written back to the shared cache;
-    ///   degraded and DAG-fallback answers are never cached.
-    pub fn run_governed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_OFF {
-            if self.preflight.load(Ordering::Relaxed) {
-                return self.run_governed_preflighted(q, spec);
-            }
-            return self.run_governed_inner(q, spec);
-        }
-        self.run_governed_observed(q, spec)
-    }
-
-    /// The untraced governed path: count, memo lookup, miss handling.
-    fn run_governed_inner(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        self.stats.count_query();
-        if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return Ok(Answer::Exact(v));
-        }
-        self.run_governed_miss(q, spec, None)
-    }
-
-    /// Governed miss path. `admission` carries a pre-flight verdict
-    /// that the budget is certain to exhaust; reaching here means every
-    /// cache probe missed, so honouring it now preserves the invariant
-    /// that a memoised exact answer never opens a budget and always
-    /// wins over admission control.
-    fn run_governed_miss(
-        &self,
-        q: &Query,
-        spec: &BudgetSpec,
-        admission: Option<Exhausted>,
-    ) -> Result<Answer> {
-        self.stats.count_result(false);
-        if let Some(ex) = admission {
-            self.stats.count_preflight_rejection();
-            self.stats.count_exhausted();
-            return Err(QueryError::Core(pxml_core::CoreError::Exhausted(ex)));
-        }
-        let budget = spec.budget();
-        let (r, cacheable) = self.evaluate_governed(q, spec, &budget, None);
-        self.finish_governed(q, &r, cacheable);
-        self.stats.add_budget_spend(budget.steps_spent(), budget.polls_performed());
-        r
-    }
-
-    /// [`QueryEngine::run_governed`] behind the pre-flight stage:
-    /// provable zeros short-circuit (and are memoised, like the
-    /// ungoverned path), plans are canonicalised, and budget-doomed
-    /// queries (exact step prediction above the ceiling under
-    /// [`DegradePolicy::Error`]) are refused without spending. The
-    /// result cache is probed before analysis, so warm serving pays
-    /// nothing and cache hits keep winning over admission control.
-    #[inline(never)]
-    fn run_governed_preflighted(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        self.stats.count_query();
-        if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            return Ok(Answer::Exact(v));
-        }
-        let report = preflight::analyze(self.summary(), q);
-        if report.is_provably_zero() {
-            self.stats.count_result(false);
-            self.stats.count_preflight_zero();
-            self.cache.put_result(q.clone(), Ok(0.0));
-            return Ok(Answer::Exact(0.0));
-        }
-        let admission = report.predicted_exhaustion(spec);
-        match report.normalised {
-            Some(nq) => {
-                self.stats.count_preflight_rewrite();
-                if let Some(Ok(v)) = self.cache.get_result(&nq) {
-                    self.stats.count_result(true);
-                    return Ok(Answer::Exact(v));
-                }
-                self.run_governed_miss(&nq, spec, admission)
-            }
-            None => self.run_governed_miss(q, spec, admission),
-        }
-    }
-
-    /// Post-evaluation accounting shared by the governed paths: result
-    /// writeback for cacheable exact answers, degradation/exhaustion
-    /// counting. A query answered under `DegradePolicy::Interval` is
-    /// counted exactly once in `queries_run` (by its single
-    /// `count_query` on entry) and lands in `result_misses` +
-    /// `queries_degraded` — there is no retry path that could count it
-    /// again.
-    fn finish_governed(&self, q: &Query, r: &Result<Answer>, cacheable: bool) {
-        match r {
-            Ok(Answer::Exact(v)) if cacheable => {
-                self.cache.put_result(q.clone(), Ok(*v));
-            }
-            Ok(Answer::Interval(_)) => self.stats.count_degraded(),
-            Err(e) if exhaustion_of(e).is_some() => self.stats.count_exhausted(),
-            _ => {}
-        }
-    }
-
-    /// [`QueryEngine::run_governed`] with per-query observation. Out of
-    /// line for the same fast-path reason as `run_observed`.
-    #[cold]
-    #[inline(never)]
-    fn run_governed_observed(&self, q: &Query, spec: &BudgetSpec) -> Result<Answer> {
-        let started = Instant::now();
-        if self.preflight.load(Ordering::Relaxed) {
-            let report = preflight::analyze(self.summary(), q);
-            if report.is_provably_zero() {
-                self.stats.count_query();
-                self.stats.count_preflight_zero();
-                let total = started.elapsed().as_nanos() as u64;
-                self.stats.observe_query_nanos(total);
-                if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-                    self.push_trace(
-                        q,
-                        &TraceTally::default(),
-                        total,
-                        TraceOutcome::PreflightZero,
-                        0.0,
-                        0.0,
-                        None,
-                    );
-                }
-                return Ok(Answer::Exact(0.0));
-            }
-            let admission = report.predicted_exhaustion(spec);
-            return match report.normalised {
-                Some(nq) => {
-                    self.stats.count_preflight_rewrite();
-                    self.run_governed_observed_inner(&nq, spec, started, admission)
-                }
-                None => self.run_governed_observed_inner(q, spec, started, admission),
-            };
-        }
-        self.run_governed_observed_inner(q, spec, started, None)
-    }
-
-    /// The traced governed path, timed from `started`. `admission` has
-    /// the same cache-miss-only semantics as in
-    /// [`QueryEngine::run_governed_inner`].
-    fn run_governed_observed_inner(
-        &self,
-        q: &Query,
-        spec: &BudgetSpec,
-        started: Instant,
-        admission: Option<Exhausted>,
-    ) -> Result<Answer> {
-        self.stats.count_query();
-        let mut tally = TraceTally::default();
-        let r = if let Some(Ok(v)) = self.cache.get_result(q) {
-            self.stats.count_result(true);
-            tally.result_hit = true;
-            Ok(Answer::Exact(v))
-        } else if let Some(ex) = admission {
-            self.stats.count_result(false);
-            self.stats.count_preflight_rejection();
-            self.stats.count_exhausted();
-            Err(QueryError::Core(pxml_core::CoreError::Exhausted(ex)))
-        } else {
-            self.stats.count_result(false);
-            let budget = spec.budget();
-            let (r, cacheable) = self.evaluate_governed(q, spec, &budget, Some(&mut tally));
-            let n0 = Instant::now();
-            self.finish_governed(q, &r, cacheable);
-            tally.normalise_nanos = n0.elapsed().as_nanos() as u64;
-            tally.budget_steps = budget.steps_spent();
-            tally.budget_polls = budget.polls_performed();
-            self.stats.add_budget_spend(tally.budget_steps, tally.budget_polls);
-            self.stats.observe_budget_steps(tally.budget_steps);
-            r
-        };
-        let total = started.elapsed().as_nanos() as u64;
-        self.stats.observe_query_nanos(total);
-        if self.trace_mode.load(Ordering::Relaxed) == TRACE_FULL {
-            let (outcome, lo, hi, error) = match &r {
-                Ok(Answer::Exact(v)) => (TraceOutcome::Exact, *v, *v, None),
-                Ok(Answer::Interval(i)) => (TraceOutcome::Degraded, i.lo, i.hi, None),
-                Err(e) => {
-                    let outcome = if exhaustion_of(e).is_some() {
-                        TraceOutcome::Exhausted
-                    } else {
-                        TraceOutcome::Error
-                    };
-                    (outcome, 0.0, 0.0, Some(e.to_string()))
-                }
-            };
-            self.push_trace(q, &tally, total, outcome, lo, hi, error);
-        }
-        r
-    }
-
-    /// Materialises one trace record from a finished query.
-    #[allow(clippy::too_many_arguments)]
+    /// Materialises one trace record. Queries and mutations share this
+    /// builder; a mutation records as an exact `0` with an empty tally.
     fn push_trace(
         &self,
-        q: &Query,
+        query: String,
+        kind: QueryKind,
+        r: &Result<Answer>,
+        proved_zero: bool,
         tally: &TraceTally,
         total_nanos: u64,
-        outcome: TraceOutcome,
-        lo: f64,
-        hi: f64,
-        error: Option<String>,
     ) {
-        let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
-        let kind = match q {
-            Query::Point { .. } => QueryKind::Point,
-            Query::Exists { .. } => QueryKind::Exists,
-            Query::Chain { .. } => QueryKind::Chain,
+        let (outcome, lo, hi, error) = match r {
+            Ok(Answer::Exact(v)) if proved_zero => (TraceOutcome::PreflightZero, *v, *v, None),
+            Ok(Answer::Exact(v)) => (TraceOutcome::Exact, *v, *v, None),
+            Ok(Answer::Interval(i)) => (TraceOutcome::Degraded, i.lo, i.hi, None),
+            Err(e) if exhaustion_of(e).is_some() => {
+                (TraceOutcome::Exhausted, 0.0, 0.0, Some(e.to_string()))
+            }
+            Err(e) => (TraceOutcome::Error, 0.0, 0.0, Some(e.to_string())),
         };
         self.traces.push(QueryTrace {
-            seq,
-            query: self.render_query(q),
+            seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
+            query,
             kind,
             outcome,
             lo,
@@ -1106,6 +909,7 @@ impl QueryEngine {
             budget_polls: tally.budget_polls,
         });
     }
+
 
     /// Renders `q` in the CLI batch-file surface syntax, falling back to
     /// debug ids for names missing from the catalog (never panics).
@@ -1143,39 +947,6 @@ impl QueryEngine {
         }
     }
 
-    /// Governed batch: `results[i]` answers `queries[i]`. Fan-out
-    /// mirrors [`QueryEngine::run_batch`]; every query gets its own
-    /// budget from `spec` (see [`BudgetSpec`]).
-    pub fn run_batch_governed(&self, queries: &[Query], spec: &BudgetSpec) -> Vec<Result<Answer>> {
-        let start = Instant::now();
-        let out = if self.threads == 1 || queries.len() <= 1 {
-            queries.iter().map(|q| self.run_governed(q, spec)).collect()
-        } else {
-            let slots: Vec<Mutex<Option<Result<Answer>>>> =
-                queries.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let workers = self.threads.min(queries.len());
-            crossbeam::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= queries.len() {
-                            break;
-                        }
-                        *slots[i].lock() = Some(self.run_governed(&queries[i], spec));
-                    });
-                }
-            })
-            .expect("batch worker panicked");
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("every index was claimed"))
-                .collect()
-        };
-        self.stats.add_batch(start.elapsed());
-        out
-    }
-
     /// Governed evaluation. The second component is `true` when the
     /// answer is safe to write to the shared result cache: exact, and
     /// identical to what the ungoverned path would return (DAG-fallback
@@ -1191,96 +962,58 @@ impl QueryEngine {
     ) -> (Result<Answer>, bool) {
         match q {
             Query::Point { path, object } => {
-                self.eval_point_governed(path, *object, spec, budget, t)
+                self.eval_located_governed(path, Some(*object), spec, budget, t)
             }
-            Query::Exists { path } => self.eval_exists_governed(path, spec, budget, t),
+            Query::Exists { path } => self.eval_located_governed(path, None, spec, budget, t),
             Query::Chain { objects } => {
-                let start = Instant::now();
-                let r = match spec.degrade {
+                let r = self.timed_marginal(t, |_| match spec.degrade {
                     DegradePolicy::Error => {
                         chain_probability_budgeted(&self.pi, objects, budget).map(Answer::Exact)
                     }
                     DegradePolicy::Interval => chain_probability_interval(&self.pi, objects, budget)
                         .map(|(lo, hi)| bounds_answer(lo, hi)),
-                };
-                let elapsed = start.elapsed();
-                self.stats.add_marginal(elapsed);
-                if let Some(t) = t {
-                    t.marginal_nanos += elapsed.as_nanos() as u64;
-                }
+                });
                 let cacheable = matches!(r, Ok(Answer::Exact(_)));
                 (r, cacheable)
             }
         }
     }
 
-    fn eval_point_governed(
+    /// Governed point (`object = Some`) or exists (`None`): locate, pick
+    /// the targets, then ε over the query-private memo, falling back to
+    /// the DAG engine when the kept region is not a tree.
+    fn eval_located_governed(
         &self,
         path: &PathExpr,
-        object: ObjectId,
+        object: Option<ObjectId>,
         spec: &BudgetSpec,
         budget: &Budget,
         mut t: Option<&mut TraceTally>,
     ) -> (Result<Answer>, bool) {
         let labels = LabelPath::from(&path.labels[..]);
         let layers = self.layers_for(path, &labels, t.as_deref_mut());
-        if layers.last().is_none_or(|l| l.binary_search(&object).is_err()) {
+        let Some(targets) = pick_targets(&layers, object.as_ref()) else {
             return (Ok(Answer::Exact(0.0)), true);
-        }
-        let start = Instant::now();
-        let mut hook = LocalHook::default();
-        let tree = self.eps_governed(path, &layers, &[object], spec, budget, &mut hook);
-        self.stats.add_opf_entries(hook.opf_entries);
-        let out = match tree {
-            Err(QueryError::NotTreeShaped(_)) => {
-                let dag = point_query_dag_governed(&self.pi, path, object, budget);
-                (self.dag_answer(dag, spec), false)
-            }
-            other => {
-                let cacheable = matches!(other, Ok(Answer::Exact(_)));
-                (other, cacheable)
-            }
         };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-            hook.merge_into(t);
-        }
-        out
-    }
-
-    fn eval_exists_governed(
-        &self,
-        path: &PathExpr,
-        spec: &BudgetSpec,
-        budget: &Budget,
-        mut t: Option<&mut TraceTally>,
-    ) -> (Result<Answer>, bool) {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
-        let located = layers.last().cloned().unwrap_or_default();
-        if located.is_empty() {
-            return (Ok(Answer::Exact(0.0)), true);
-        }
-        let start = Instant::now();
         let mut hook = LocalHook::default();
-        let tree = self.eps_governed(path, &layers, &located, spec, budget, &mut hook);
-        self.stats.add_opf_entries(hook.opf_entries);
-        let out = match tree {
-            Err(QueryError::NotTreeShaped(_)) => {
-                let dag = exists_query_dag_governed(&self.pi, path, budget);
-                (self.dag_answer(dag, spec), false)
+        let out = self.timed_marginal(t.as_deref_mut(), |_| {
+            let tree = self.eps_governed(path, &layers, targets, spec, budget, &mut hook);
+            self.stats.add_opf_entries(hook.opf_entries);
+            match tree {
+                Err(QueryError::NotTreeShaped(_)) => {
+                    let dag = match object {
+                        Some(o) => point_query_dag_governed(&self.pi, path, o, budget),
+                        None => exists_query_dag_governed(&self.pi, path, budget),
+                    };
+                    (self.dag_answer(dag, spec), false)
+                }
+                other => {
+                    let cacheable = matches!(other, Ok(Answer::Exact(_)));
+                    (other, cacheable)
+                }
             }
-            other => {
-                let cacheable = matches!(other, Ok(Answer::Exact(_)));
-                (other, cacheable)
-            }
-        };
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
+        });
         if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
             hook.merge_into(t);
         }
         out
@@ -1338,9 +1071,9 @@ impl QueryEngine {
 
     fn evaluate(&self, q: &Query, t: Option<&mut TraceTally>) -> Result<f64> {
         match q {
-            Query::Point { path, object } => self.eval_point(path, *object, t),
-            Query::Exists { path } => self.eval_exists(path, t),
-            Query::Chain { objects } => self.eval_chain(objects, t),
+            Query::Point { path, object } => self.eval_located(path, Some(*object), t),
+            Query::Exists { path } => self.eval_located(path, None, t),
+            Query::Chain { objects } => self.timed_marginal(t, |t| self.eval_chain(objects, t)),
         }
     }
 
@@ -1378,30 +1111,38 @@ impl QueryEngine {
         layers
     }
 
-    fn eval_point(
+    /// Ungoverned point (`object = Some`) or exists (`None`): locate,
+    /// pick the targets, then ε through the shared memo.
+    fn eval_located(
         &self,
         path: &PathExpr,
-        object: ObjectId,
+        object: Option<ObjectId>,
         mut t: Option<&mut TraceTally>,
     ) -> Result<f64> {
         let labels = LabelPath::from(&path.labels[..]);
         let layers = self.layers_for(path, &labels, t.as_deref_mut());
-        // Mirrors `point_query`: absent from the located layer ⇒ 0.
-        if layers.last().is_none_or(|l| l.binary_search(&object).is_err()) {
+        let Some(targets) = pick_targets(&layers, object.as_ref()) else {
             return Ok(0.0);
-        }
-        self.eps_arena(path, &layers, &[object], labels, TargetKey::One(object), t)
+        };
+        let target = object.map_or(TargetKey::AllLocated, TargetKey::One);
+        self.timed_marginal(t, |t| self.eps_arena(path, &layers, targets, labels, target, t))
     }
 
-    fn eval_exists(&self, path: &PathExpr, mut t: Option<&mut TraceTally>) -> Result<f64> {
-        let labels = LabelPath::from(&path.labels[..]);
-        let layers = self.layers_for(path, &labels, t.as_deref_mut());
-        // Mirrors `exists_query`: nothing located ⇒ 0.
-        let located = layers.last().cloned().unwrap_or_default();
-        if located.is_empty() {
-            return Ok(0.0);
+    /// Runs one marginalisation step, adding its wall time to the
+    /// engine's `marginal_nanos` and to the query's tally.
+    fn timed_marginal<T>(
+        &self,
+        mut t: Option<&mut TraceTally>,
+        f: impl FnOnce(Option<&mut TraceTally>) -> T,
+    ) -> T {
+        let start = Instant::now();
+        let r = f(t.as_deref_mut());
+        let elapsed = start.elapsed();
+        self.stats.add_marginal(elapsed);
+        if let Some(t) = t {
+            t.marginal_nanos += elapsed.as_nanos() as u64;
         }
-        self.eps_arena(path, &layers, &located, labels, TargetKey::AllLocated, t)
+        r
     }
 
     /// The shared ε evaluation of the ungoverned point/exists paths:
@@ -1412,26 +1153,6 @@ impl QueryEngine {
     /// is an operation-for-operation transliteration (see
     /// `crate::arena_eps`).
     fn eps_arena(
-        &self,
-        path: &PathExpr,
-        layers: &[Vec<ObjectId>],
-        targets: &[ObjectId],
-        labels: LabelPath,
-        target: TargetKey,
-        mut t: Option<&mut TraceTally>,
-    ) -> Result<f64> {
-        let start = Instant::now();
-        let r = self.eps_arena_inner(path, layers, targets, labels, target, t.as_deref_mut());
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-        }
-        r
-    }
-
-    /// Untimed body of [`QueryEngine::eps_arena`].
-    fn eps_arena_inner(
         &self,
         path: &PathExpr,
         layers: &[Vec<ObjectId>],
@@ -1470,17 +1191,6 @@ impl QueryEngine {
     /// is only written after a successful OPF lookup, so the error
     /// behaviour (node → position → OPF, in that order) is unchanged.
     fn eval_chain(&self, chain: &[ObjectId], mut t: Option<&mut TraceTally>) -> Result<f64> {
-        let start = Instant::now();
-        let r = self.eval_chain_inner(chain, t.as_deref_mut());
-        let elapsed = start.elapsed();
-        self.stats.add_marginal(elapsed);
-        if let Some(t) = t {
-            t.marginal_nanos += elapsed.as_nanos() as u64;
-        }
-        r
-    }
-
-    fn eval_chain_inner(&self, chain: &[ObjectId], mut t: Option<&mut TraceTally>) -> Result<f64> {
         let Some((&first, rest)) = chain.split_first() else {
             return Err(QueryError::EmptyChain);
         };
@@ -1536,6 +1246,32 @@ impl QueryEngine {
             parent = child;
         }
         Ok(p)
+    }
+}
+
+/// Which pipeline stage produced an answer.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The result memo (original or canonical key).
+    Hit,
+    /// The pre-flight proved the answer zero.
+    Zero,
+    /// The evaluator ran, or admission refused the query.
+    Evaluated,
+}
+
+/// The ε targets of a point (`object = Some`) or exists (`None`) query:
+/// the queried object if the last layer holds it, else every located
+/// object. `None` means there is nothing to target and the answer is 0,
+/// as in `point_query` / `exists_query`.
+fn pick_targets<'a>(
+    layers: &'a [Vec<ObjectId>],
+    object: Option<&'a ObjectId>,
+) -> Option<&'a [ObjectId]> {
+    let located = layers.last()?;
+    match object {
+        Some(o) => located.binary_search(o).is_ok().then(|| std::slice::from_ref(o)),
+        None => (!located.is_empty()).then_some(located.as_slice()),
     }
 }
 

@@ -38,8 +38,11 @@
 //! ## Observability
 //!
 //! The engine carries an opt-in tracing + metrics layer (off by
-//! default, one relaxed atomic load on the hot path when disabled):
-//! [`engine::QueryEngine::set_trace_mode`] switches between
+//! default; disabled, it costs one relaxed atomic load per query and no
+//! per-query clock). Every trace mode answers along the same staged pipeline
+//! (memo probe → pre-flight → evaluate → memoise → count, see
+//! [`engine`]), so turning tracing on changes no answer, counter or
+//! cache entry. [`engine::QueryEngine::set_trace_mode`] switches between
 //! [`trace::TraceMode::Off`], `Timing` (per-query latency /
 //! budget-spend histograms in [`stats::EngineStats`]) and `Full`
 //! (per-query [`trace::QueryTrace`] records — phase spans, cache

@@ -7,14 +7,16 @@
 //! the paper's Figure 7 cost model, and — for governed runs — the
 //! budget spend and degradation status.
 //!
-//! Tracing is **off by default** and allocation-shy by design: with
-//! [`TraceMode::Off`] the engine's hot path pays one relaxed atomic
-//! load and an early branch, nothing else (no clock reads, no
-//! allocation — proven <1 % on the warm-batch ablation, see
-//! EXPERIMENTS.md). [`TraceMode::Timing`] adds per-query latency /
-//! budget-spend histogram observations; [`TraceMode::Full`]
+//! Tracing is **off by default** and allocation-shy by design. The
+//! engine runs one staged pipeline in every mode and loads the mode once
+//! per query; with [`TraceMode::Off`] it then starts no per-query clock
+//! and builds no `TraceTally` (the tally is an `Option` that stays
+//! `None`), so a result-memo hit reads no clock at all.
+//! [`TraceMode::Timing`] starts a clock and a tally, and adds per-query
+//! latency / budget-spend histogram observations; [`TraceMode::Full`]
 //! additionally materialises one [`QueryTrace`] record per query into a
-//! bounded [`TraceRing`].
+//! bounded [`TraceRing`]. No mode changes an answer, a counter or the
+//! cache: a result-memo hit wins over pre-flight in all three.
 //!
 //! Records serialise to JSON lines via [`QueryTrace::to_json`] and
 //! parse back with [`QueryTrace::from_json`] (the workspace's `serde`

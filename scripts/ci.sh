@@ -44,13 +44,25 @@ cargo test -q --offline --test fuzz_robustness
 echo "==> mutation differential suite"
 cargo test -q --offline --test mutation_differential
 
+# Observation differential: for pre-flight on/off and each entry point
+# (run, run_governed unlimited and under a tight step ceiling), the
+# three trace modes must give identical answers, counters (timings
+# excluded) and cache contents, and hits + misses must equal queries.
+echo "==> trace-mode differential suite"
+cargo test -q --offline --test trace_differential
+
+# Scratch space for every step below that writes files; removed on exit.
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir"' EXIT
+
 # Arena/CSR flat-pipeline benchmark: every answer must be bit-equal to
 # the legacy recursion, and the cold marginalisation pool at the
 # 10^5-object scale >= 2x faster on the arena (asserted inside the
-# binary). Writes BENCH_arena.json; debug-assert layout invariants are
-# additionally exercised by the fuzz harness above.
+# binary). Writes its JSON report to the scratch dir, so the committed
+# BENCH_arena.json is not rewritten with this host's numbers; debug-assert
+# layout invariants are additionally exercised by the fuzz harness above.
 echo "==> arena flat-pipeline benchmark (bit-equal answers, >=2x cold)"
-target/release/bench_arena --out BENCH_arena.json --reps 3
+target/release/bench_arena --out "$smoke_dir/BENCH_arena.json" --reps 3
 
 # Resource-governance contracts: any budget is exact-or-bracketing,
 # exhaustion accounting is thread-count independent, and the dense
@@ -68,8 +80,6 @@ cargo test -q --offline --test governance_acceptance
 # the same deadline must exit 3 (documented taxonomy: 0 ok,
 # 1 operational, 2 usage, 3 budget exhausted).
 echo "==> cli governance smoke (dense 2^24-term instance)"
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
 {
   echo 'pxml v1'
   echo 'types {'

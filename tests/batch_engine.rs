@@ -20,7 +20,7 @@ use pxml::core::worlds::enumerate_worlds;
 use pxml::core::ProbInstance;
 use pxml::query::engine::{BudgetSpec, DegradePolicy};
 use pxml::query::{chain_probability, exists_query, point_query, QueryError, StatsSnapshot};
-use pxml::{BatchQuery, QueryEngine, QueryTrace, TraceMode};
+use pxml::{BatchQuery, QueryEngine, QueryTrace, TraceMode, TraceOutcome};
 
 use common::{random_dag, random_tree};
 
@@ -301,34 +301,72 @@ fn concurrent_snapshots_satisfy_invariants() {
 
 /// Full tracing materialises exactly one record per query, covering the
 /// whole batch, with coherent phase spans and cache provenance; every
-/// record survives a JSON round-trip bit-exactly.
+/// record survives a JSON round-trip bit-exactly. Checked with pre-flight
+/// off and on, through both `run_batch` and `run_batch_governed`: a
+/// provably-zero query is traced as `PreflightZero` only on the miss
+/// that proved it, and its repeat as a result-memo hit.
 #[test]
 fn full_tracing_records_one_trace_per_query() {
     let pi = random_tree(3);
-    let queries = build_queries(&pi, &[]);
-    let engine = QueryEngine::with_threads(pi, 1);
-    engine.set_trace_mode(TraceMode::Full);
-    engine.set_trace_capacity(queries.len());
+    let (walk, _) = first_child_walk(&pi);
+    // No positive-length path locates the root, so this is provably 0.
+    let zero = BatchQuery::point(PathExpr::new(pi.root(), [walk[0]]), pi.root());
+    let mut queries = vec![zero.clone()];
+    queries.extend(build_queries(&pi, &[]));
+    queries.push(zero);
 
-    engine.run_batch(&queries);
-    let traces = engine.take_traces();
-    assert_eq!(traces.len(), queries.len());
-    assert_eq!(engine.traces_dropped(), 0);
+    for preflight in [false, true] {
+        for governed in [false, true] {
+            let at = format!("pre-flight {preflight}, governed {governed}");
+            let engine = QueryEngine::with_threads(pi.clone(), 1);
+            engine.set_preflight(preflight);
+            engine.set_trace_mode(TraceMode::Full);
+            engine.set_trace_capacity(queries.len());
+            if governed {
+                engine.run_batch_governed(&queries, &BudgetSpec::default());
+            } else {
+                engine.run_batch(&queries);
+            }
+            let traces = engine.take_traces();
+            assert_eq!(traces.len(), queries.len(), "{at}");
+            assert_eq!(engine.traces_dropped(), 0, "{at}");
 
-    for t in &traces {
-        assert!(t.total_nanos > 0, "zero-duration trace: {t:?}");
-        assert!(
-            t.locate_nanos + t.marginal_nanos + t.normalise_nanos <= t.total_nanos,
-            "phase spans exceed the total: {t:?}"
-        );
-        let round_tripped = QueryTrace::from_json(&t.to_json()).expect("trace JSON parses");
-        assert_eq!(&round_tripped, t, "JSON round-trip changed the record");
+            for t in &traces {
+                assert!(t.total_nanos > 0, "{at}: zero-duration trace: {t:?}");
+                assert!(
+                    t.locate_nanos + t.marginal_nanos + t.normalise_nanos <= t.total_nanos,
+                    "{at}: phase spans exceed the total: {t:?}"
+                );
+                let round_tripped = QueryTrace::from_json(&t.to_json()).expect("trace JSON parses");
+                assert_eq!(&round_tripped, t, "{at}: JSON round-trip changed the record");
+            }
+
+            // The duplicate half of the workload must show result-cache hits.
+            assert!(traces.iter().any(|t| t.result_hit), "{at}: no trace recorded a result hit");
+            assert!(traces.iter().any(|t| !t.result_hit), "{at}: no trace recorded a miss");
+
+            // The zero is proved on its first (missing) run only.
+            let proved: Vec<usize> = traces
+                .iter()
+                .enumerate()
+                .filter(|(_, t)| t.outcome == TraceOutcome::PreflightZero)
+                .map(|(i, _)| i)
+                .collect();
+            let (first, last) = (&traces[0], &traces[traces.len() - 1]);
+            if preflight {
+                assert_eq!(proved, vec![0], "{at}");
+                assert!(!first.result_hit, "{at}: the proof is a memo miss");
+            } else {
+                assert!(proved.is_empty(), "{at}");
+                assert_eq!(first.outcome, TraceOutcome::Exact, "{at}");
+            }
+            assert_eq!((first.lo, first.hi), (0.0, 0.0), "{at}");
+            assert!(last.result_hit, "{at}: the repeat is a memo hit");
+            assert_eq!(last.outcome, TraceOutcome::Exact, "{at}");
+            assert_eq!((last.lo, last.hi), (0.0, 0.0), "{at}");
+
+            // The ring drains on take: a second drain is empty.
+            assert!(engine.take_traces().is_empty(), "{at}");
+        }
     }
-
-    // The duplicate half of the workload must show result-cache hits.
-    assert!(traces.iter().any(|t| t.result_hit), "no trace recorded a result hit");
-    assert!(traces.iter().any(|t| !t.result_hit), "no trace recorded a miss");
-
-    // The ring drains on take: a second drain is empty.
-    assert!(engine.take_traces().is_empty());
 }
